@@ -226,7 +226,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		o.DecisionSample = *decSampleF
 	}
 
-	stopWall := o.Metrics.Timer("run.wall").Start()
+	stopWall := o.Metrics.Histogram("run.wall").Start()
 	err := dispatch(ctx, o, stdout,
 		*list, *exp, *evalMode, *speedup, *opportunity,
 		*workloadF, *prefetcher, *traceFile, *samples, *format)

@@ -88,7 +88,7 @@ type Options struct {
 	// or both via telemetry.MultiObserver. Observers never affect
 	// results or rendered output.
 	Observer telemetry.JobObserver
-	// Metrics, if non-nil, accumulates counters and timers across the
+	// Metrics, if non-nil, accumulates counters and histograms across the
 	// run — engine job counts and durations, and per-class off-chip
 	// traffic for trace-based evaluations. Dump it with
 	// Registry.WriteJSON (cmd/dominosim's -metrics flag).

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"hash/fnv"
 	"time"
 
 	"domino/internal/flathash"
@@ -36,17 +34,8 @@ const (
 // rates. The same (seed, label) always gets the same fate, independent of
 // worker count and scheduling — which is what lets tests predict exactly
 // which cells fail.
-//
-// The FNV sum is passed through flathash.Mix64 (the MurmurHash3 fmix64
-// finalizer) before use: FNV-1a's last input byte only perturbs the sum
-// by < 2^48 (one multiply by the prime), so labels differing in their
-// final characters — "OLTP/s0" vs "OLTP/s1" — would otherwise land on
-// nearly identical fractions and fail as whole rows instead of a uniform
-// sample.
 func (c *chaosConfig) plan(label string) chaosAction {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s", c.seed, label)
-	frac := float64(flathash.Mix64(h.Sum64())>>11) / float64(uint64(1)<<53)
+	frac := flathash.Frac(c.seed, label)
 	switch {
 	case frac < c.panicRate:
 		return chaosPanic

@@ -152,12 +152,12 @@ func runJobsContext(ctx context.Context, o Options, scope string, jobs []Job) sw
 		obs.JobsQueued(labels)
 	}
 	var jobCount, failCount, skipCount, restoreCount *telemetry.Counter
-	var jobTime *telemetry.Timer
+	var jobTime *telemetry.Histogram
 	if o.Metrics != nil {
 		o.Metrics.Counter("engine.batches").Inc()
 		o.Metrics.Gauge("engine.workers").Set(int64(workers))
 		jobCount = o.Metrics.Counter("engine.jobs")
-		jobTime = o.Metrics.Timer("engine.job_time")
+		jobTime = o.Metrics.Histogram("engine.job_time")
 		failCount = o.Metrics.Counter("engine.jobs_failed")
 		skipCount = o.Metrics.Counter("engine.jobs_skipped")
 		restoreCount = o.Metrics.Counter("engine.jobs_restored")

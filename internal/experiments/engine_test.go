@@ -196,7 +196,7 @@ func TestRunJobsObserverEvents(t *testing.T) {
 		if got := reg.Counter("engine.jobs").Value(); got != n {
 			t.Fatalf("par=%d: engine.jobs = %d, want %d", par, got, n)
 		}
-		if got := reg.Timer("engine.job_time").Stats().Count; got != n {
+		if got := reg.Histogram("engine.job_time").Count(); got != n {
 			t.Fatalf("par=%d: engine.job_time count = %d, want %d", par, got, n)
 		}
 		if got := reg.Gauge("engine.workers").Value(); got != int64(par) {

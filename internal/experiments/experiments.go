@@ -56,7 +56,7 @@ type Options struct {
 	// telemetry.MultiObserver). Observers write to stderr or buffers
 	// chosen by the caller; rendered experiment output is unaffected.
 	Observer telemetry.JobObserver
-	// Metrics, if non-nil, accumulates engine counters and timers
+	// Metrics, if non-nil, accumulates engine counters and histograms
 	// (jobs, batches, workers, per-job wall time, plus the resilience
 	// counters jobs_failed/jobs_skipped/jobs_restored) for a -metrics
 	// dump.

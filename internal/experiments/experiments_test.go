@@ -293,18 +293,6 @@ func TestSpeedupCI(t *testing.T) {
 	}
 }
 
-func TestCoverageCI(t *testing.T) {
-	o := tinyOptions()
-	r := CoverageCI(o, "Web Search", "stms", 1, 3)
-	if r.Mean <= 0 || r.Mean >= 1 {
-		t.Fatalf("mean coverage %v", r.Mean)
-	}
-	// Independent samples of the same workload should agree reasonably.
-	if r.RelativeError() > 0.5 {
-		t.Fatalf("samples wildly divergent: %+v", r)
-	}
-}
-
 // TestShapeRegression pins the paper's headline orderings at a moderate
 // scale, so a future calibration change that silently breaks a figure's
 // shape fails the suite. Skipped under -short.

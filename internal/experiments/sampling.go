@@ -65,24 +65,3 @@ func SpeedupCI(o Options, workloadName, prefetcher string, degree, k int) CIResu
 		Samples: samples,
 	}
 }
-
-// CoverageCI measures trace-based coverage over k independent samples.
-func CoverageCI(o Options, workloadName, prefetcher string, degree, k int) CIResult {
-	wp := workload.ByName(workloadName)
-	samples := make([]float64, 0, k)
-	for i := 0; i < k; i++ {
-		p := wp
-		p.Seed = wp.Seed + int64(i)*104729
-		meter := &dram.Meter{}
-		cfg := prefetch.DefaultEvalConfig()
-		cfg.Meter = meter
-		pf := Build(prefetcher, degree, meter, o.Scale)
-		r := prefetch.RunWarm(trace.Limit(workload.New(p), o.Accesses), pf, cfg, o.Warmup)
-		samples = append(samples, r.Coverage())
-	}
-	return CIResult{
-		Mean:    stats.Mean(samples),
-		CI95:    stats.CI95(samples),
-		Samples: samples,
-	}
-}

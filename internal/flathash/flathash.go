@@ -23,16 +23,19 @@
 // full 64-bit key space is usable.
 package flathash
 
+import (
+	"fmt"
+	"hash/fnv"
+)
+
 // Value constrains the stored value types to the two machine-word shapes
 // the metadata indexes need: history-table sequence numbers (uint64) and
 // positions in in-memory logs (int32).
 type Value interface{ ~uint64 | ~int32 }
 
 // Mix64 is the MurmurHash3 fmix64 finalizer: full avalanche, so every
-// input bit flips every output bit with probability ~1/2. It is both the
-// table's hash function and the mixing step of PackPair, and the same
-// finalizer the experiment engine's chaos injector uses for fault
-// planning.
+// input bit flips every output bit with probability ~1/2. It is the
+// table's hash function and the mixing step of PackPair and Frac.
 func Mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -40,6 +43,19 @@ func Mix64(x uint64) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
+}
+
+// Frac maps (seed, label) to a uniform fraction in [0, 1),
+// deterministically: fnv64a of "seed|label", passed through Mix64, with
+// the top 53 bits as the float. The finalizer matters: FNV-1a's last
+// input byte perturbs the sum by < 2^48 (one multiply by the prime), so
+// labels differing in their final characters — "OLTP/s0" vs "OLTP/s1" —
+// would otherwise land on nearly identical fractions. The chaos injectors
+// of the experiment engine and the serving layer plan faults with it.
+func Frac(seed uint64, label string) float64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%s", seed, label)
+	return float64(Mix64(h.Sum64())>>11) / float64(uint64(1)<<53)
 }
 
 // PackPair folds an ordered pair of 64-bit words into one 64-bit key for

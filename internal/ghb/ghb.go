@@ -25,8 +25,6 @@ type Config struct {
 	// Entries is the history-buffer size; Nesbit & Smith evaluate
 	// SRAM-sized buffers of a few hundred entries.
 	Entries int
-	// IndexEntries bounds the index table; 0 = as many as Entries.
-	IndexEntries int
 }
 
 // DefaultConfig returns a 512-entry on-chip configuration.
@@ -48,7 +46,7 @@ type Prefetcher struct {
 	next uint64 // absolute sequence number of the next slot
 	// index maps a line to its most recent sequence number, on a
 	// flathash kernel; stale entries are pruned with a backward-shift
-	// DeleteWhere sweep.
+	// DeleteWhere sweep once the index holds more than 2*Entries lines.
 	index *flathash.Map[uint64]
 }
 
@@ -60,7 +58,7 @@ func New(cfg Config) *Prefetcher {
 	return &Prefetcher{
 		cfg:   cfg,
 		buf:   make([]ghbEntry, cfg.Entries),
-		index: flathash.New[uint64](cfg.Entries),
+		index: flathash.New[uint64](2*cfg.Entries + 1),
 	}
 }
 
@@ -95,9 +93,10 @@ func (p *Prefetcher) Trigger(ev prefetch.Event) []prefetch.Candidate {
 	p.buf[p.next%uint64(p.cfg.Entries)] = e
 	p.index.Put(uint64(ev.Line), p.next)
 	p.next++
-	// Prune stale index entries opportunistically so the index tracks the
-	// buffer rather than the whole trace.
-	if p.cfg.IndexEntries > 0 && p.index.Len() > p.cfg.IndexEntries {
+	// Prune stale index entries so the index tracks the buffer rather than
+	// the whole trace. At most Entries lines are retained, so a sweep at
+	// 2*Entries frees at least Entries slots: amortised O(1) per access.
+	if p.index.Len() > 2*p.cfg.Entries {
 		p.index.DeleteWhere(func(_, seq uint64) bool {
 			return !p.retained(seq)
 		})

@@ -64,13 +64,20 @@ func TestUnseenAddressNoMatch(t *testing.T) {
 func TestIndexPruning(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Entries = 8
-	cfg.IndexEntries = 4
 	p := New(cfg)
-	for i := mem.Line(0); i < 100; i++ {
+	for i := mem.Line(0); i < 20*8; i++ {
 		p.Trigger(miss(i))
-	}
-	if p.index.Len() > 100 {
-		t.Fatalf("index grew unboundedly: %d entries", p.index.Len())
+		if n := p.index.Len(); n > 2*cfg.Entries {
+			t.Fatalf("after %d distinct lines the index holds %d entries, want <= %d",
+				i+1, n, 2*cfg.Entries)
+		}
+		// Pruning drops only stale lines: every line still in the
+		// buffer stays indexed.
+		for l := max(0, int(i)-cfg.Entries+1); l <= int(i); l++ {
+			if _, ok := p.index.Get(uint64(l)); !ok {
+				t.Fatalf("after %d lines, retained line %d was pruned", i+1, l)
+			}
+		}
 	}
 }
 

@@ -14,14 +14,13 @@
 //     plan batches without sharing mutable state.
 //
 // Rates partition the unit interval into bands: a batch's fraction
-// f = frac(label) panics the batch if f < PanicRate, kills the shard
-// goroutine if f < PanicRate+KillRate, runs slow if
+// f = flathash.Frac(Seed, label) panics the batch if f < PanicRate, kills
+// the shard goroutine if f < PanicRate+KillRate, runs slow if
 // f < PanicRate+KillRate+SlowRate, and is healthy otherwise.
 package serve
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"domino/internal/flathash"
@@ -73,16 +72,6 @@ const (
 	fateSlow
 )
 
-// frac maps a label to a uniform fraction in [0, 1), deterministically
-// under the seed. fnv64a accumulates the label, Mix64 (the fmix64
-// finalizer) breaks up fnv's weak low bits, and the top 53 bits become
-// the float — the same construction the experiment engine uses.
-func (c *Chaos) frac(label string) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s", c.Seed, label)
-	return float64(flathash.Mix64(h.Sum64())>>11) / float64(uint64(1)<<53)
-}
-
 // batchLabel derives a batch's planning label from its content, not its
 // arrival order, so the plan survives restarts and requeues.
 func batchLabel(b Batch) string {
@@ -99,7 +88,7 @@ func (c *Chaos) planBatch(b Batch) batchFate {
 	if c == nil {
 		return fateNone
 	}
-	f := c.frac(batchLabel(b))
+	f := flathash.Frac(c.Seed, batchLabel(b))
 	switch {
 	case f < c.PanicRate:
 		return fatePanic
@@ -136,5 +125,5 @@ func (c *Chaos) buildFails(tenant string) bool {
 	if c == nil || c.BuildFailRate <= 0 {
 		return false
 	}
-	return c.frac("build|"+tenant) < c.BuildFailRate
+	return flathash.Frac(c.Seed, "build|"+tenant) < c.BuildFailRate
 }

@@ -502,22 +502,21 @@ type shard struct {
 	batchesC     *telemetry.Counter
 	hitsC        *telemetry.Counter
 	prefetchC    *telemetry.Counter
-	evictionsC   *telemetry.Counter // tenant sessions evicted (LRU cap + budget)
-	shedC        *telemetry.Counter // batches failed by the deadline shedder
-	overloadedC  *telemetry.Counter // watermark fast-rejects
-	brownoutC    *telemetry.Counter // brownout entries
-	budgetEvictC *telemetry.Counter // evictions forced by the memory budget
-	tenantBytesG *telemetry.Gauge   // accounted session metadata bytes
-	panicsC      *telemetry.Counter // recovered per-batch panics
-	buildErrsC   *telemetry.Counter // session build failures
-	failedC      *telemetry.Counter // batches answered with Result.Err
-	restartsC    *telemetry.Counter // supervisor restarts
-	stalledC     *telemetry.Counter // watchdog replacements of a stuck goroutine
-	quarantinedC *telemetry.Counter // tenants entering quarantine
-	readmittedC  *telemetry.Counter // tenants re-admitted after quarantine
-	quarRejectC  *telemetry.Counter // batches rejected while quarantined
-	quarG        *telemetry.Gauge   // tenants currently quarantined
-	batchTimer   *telemetry.Timer
+	evictionsC   *telemetry.Counter   // tenant sessions evicted (LRU cap + budget)
+	shedC        *telemetry.Counter   // batches failed by the deadline shedder
+	overloadedC  *telemetry.Counter   // watermark fast-rejects
+	brownoutC    *telemetry.Counter   // brownout entries
+	budgetEvictC *telemetry.Counter   // evictions forced by the memory budget
+	tenantBytesG *telemetry.Gauge     // accounted session metadata bytes
+	panicsC      *telemetry.Counter   // recovered per-batch panics
+	buildErrsC   *telemetry.Counter   // session build failures
+	failedC      *telemetry.Counter   // batches answered with Result.Err
+	restartsC    *telemetry.Counter   // supervisor restarts
+	stalledC     *telemetry.Counter   // watchdog replacements of a stuck goroutine
+	quarantinedC *telemetry.Counter   // tenants entering quarantine
+	readmittedC  *telemetry.Counter   // tenants re-admitted after quarantine
+	quarRejectC  *telemetry.Counter   // batches rejected while quarantined
+	quarG        *telemetry.Gauge     // tenants currently quarantined
 	batchHist    *telemetry.Histogram // batch processing latency, ns
 	queueWait    *telemetry.Histogram // submit-to-dequeue wait, ns
 	batchSize    *telemetry.Histogram // accesses per batch
@@ -629,7 +628,6 @@ func New(cfg Config) (*Server, error) {
 			sh.readmittedC = reg.Counter(p + "readmitted")
 			sh.quarRejectC = reg.Counter(p + "quarantine_rejects")
 			sh.quarG = reg.Gauge(p + "quarantined_now")
-			sh.batchTimer = reg.Timer(p + "batch")
 			sh.batchHist = reg.Histogram(p + "batch_ns")
 			sh.queueWait = reg.Histogram(p + "queue_wait_ns")
 			sh.batchSize = reg.Histogram(p + "batch_size")

@@ -263,22 +263,22 @@ func TestMetricsPublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	var accesses int64
-	var sawTimer bool
+	var sawBatch bool
 	for _, m := range cfg.Metrics.Snapshot() {
 		if m.Kind == "counter" && m.Value != nil {
 			if len(m.Name) > 6 && m.Name[:6] == "serve." && hasSuffix(m.Name, ".accesses") {
 				accesses += *m.Value
 			}
 		}
-		if m.Kind == "timer" && hasSuffix(m.Name, ".batch") && m.Timer.Count > 0 {
-			sawTimer = true
+		if m.Kind == "histogram" && hasSuffix(m.Name, ".batch_ns") && m.Histogram.Count > 0 {
+			sawBatch = true
 		}
 	}
 	if accesses != 500 {
 		t.Fatalf("serve.*.accesses total = %d, want 500", accesses)
 	}
-	if !sawTimer {
-		t.Fatal("no batch latency timer observation recorded")
+	if !sawBatch {
+		t.Fatal("no batch latency histogram observation recorded")
 	}
 }
 

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // Telemetry overhead benchmarks, gated by scripts/bench.sh + benchdiff:
 // the Disabled variants pin the nil-receiver no-op path at ~a branch and
@@ -40,22 +37,6 @@ func BenchmarkHistogramObserveParallel(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkTimerObserve(b *testing.B) {
-	t := &Timer{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		t.Observe(time.Duration(i) * time.Nanosecond)
-	}
-}
-
-func BenchmarkTimerObserveDisabled(b *testing.B) {
-	var t *Timer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		t.Observe(time.Duration(i) * time.Nanosecond)
-	}
 }
 
 func BenchmarkHistogramStatsSnapshot(b *testing.B) {

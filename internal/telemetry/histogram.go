@@ -85,8 +85,8 @@ func (h *Histogram) ObserveValue(v int64) {
 	h.counts[bucketIndex(v)].Add(1)
 }
 
-// Start begins timing and returns the function that stops it, mirroring
-// Timer.Start. On a nil histogram the returned stop is a no-op.
+// Start begins timing and returns the function that stops it. Usable as
+// `defer h.Start()()`; on a nil histogram the returned stop is a no-op.
 func (h *Histogram) Start() func() {
 	if h == nil {
 		return func() {}

@@ -16,11 +16,10 @@ import (
 // underscores. Series sharing a mapped name are grouped under one # TYPE
 // header, as the exposition format requires.
 //
-// Counters and gauges render as single samples; timers render as
-// <name>_count/_sum gauges plus _min/_max; histograms render in native
-// Prometheus histogram form — cumulative <name>_bucket{le="..."} samples
-// over the fixed log-scale bucket bounds (only non-empty buckets are
-// emitted, plus the mandatory le="+Inf"), then _sum and _count.
+// Counters and gauges render as single samples; histograms render in
+// native Prometheus histogram form — cumulative <name>_bucket{le="..."}
+// samples over the fixed log-scale bucket bounds (only non-empty buckets
+// are emitted, plus the mandatory le="+Inf"), then _sum and _count.
 
 // promSeries is one registry metric mapped onto exposition naming.
 type promSeries struct {
@@ -131,17 +130,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 					v = *s.m.Value
 				}
 				fmt.Fprintf(&b, "%s%s %d\n", name, s.labels, v)
-			case "timer":
-				t := s.m.Timer
-				if t == nil {
-					t = &TimerStats{}
-				}
-				for _, part := range []struct {
-					suffix string
-					v      int64
-				}{{"_count", t.Count}, {"_sum_ns", t.TotalNS}, {"_min_ns", t.MinNS}, {"_max_ns", t.MaxNS}} {
-					fmt.Fprintf(&b, "%s%s%s %d\n", name, part.suffix, s.labels, part.v)
-				}
 			case "histogram":
 				h := s.m.Histogram
 				if h == nil {

@@ -36,7 +36,7 @@ func TestWritePromExposition(t *testing.T) {
 	r.Counter("serve.shard0.accesses").Add(100)
 	r.Counter("serve.shard1.accesses").Add(50)
 	r.Gauge("serve.shard0.queue_depth").Set(3)
-	r.Timer("serve.shard0.batch").Observe(2 * time.Millisecond)
+	r.Histogram("serve.shard0.batch").Observe(2 * time.Millisecond)
 	h := r.Histogram("serve.shard0.batch_ns")
 	h.ObserveValue(10)
 	h.ObserveValue(1000)
@@ -57,6 +57,7 @@ func TestWritePromExposition(t *testing.T) {
 		`serve_accesses{shard="1"} 50`,
 		`# TYPE serve_queue_depth gauge`,
 		`serve_queue_depth{shard="0"} 3`,
+		`# TYPE serve_batch histogram`,
 		`serve_batch_count{shard="0"} 1`,
 		`# TYPE serve_batch_ns histogram`,
 		`# TYPE serve_tenant_used counter`,

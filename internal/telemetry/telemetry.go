@@ -1,10 +1,10 @@
 // Package telemetry is the observability layer shared by the experiment
 // engine, the evaluation framework, the serving layer and the command
-// binaries: a lightweight metrics registry (counters, gauges, wall-clock
-// timers and log-scale latency histograms with named, ordered
-// snapshots), live per-job progress and wall-time reporting for the
-// parallel experiment engine, a JSONL sink for structured event traces,
-// and a Prometheus text-exposition renderer for the registry.
+// binaries: a lightweight metrics registry (counters, gauges and
+// log-scale histograms for durations and other values, with named,
+// ordered snapshots), live per-job progress and wall-time reporting for
+// the parallel experiment engine, a JSONL sink for structured event
+// traces, and a Prometheus text-exposition renderer for the registry.
 //
 // Everything in this package is optional and cheap to leave disabled:
 // every metric method is safe on a nil receiver and compiles to a single
@@ -21,7 +21,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing metric. The zero value is ready
@@ -74,107 +73,13 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Timer accumulates wall-clock durations: count, total, min and max. The
-// zero value is ready to use; a nil *Timer is a no-op sink.
-//
-// Timer is lock-free: every field is an atomic, so Observe never blocks
-// and costs a handful of uncontended atomic operations. The min field
-// uses 0 as its "unset" sentinel; the initializing store goes through the
-// same CAS loop as every later update, so two goroutines racing to record
-// the very first observation cannot lose the smaller of the two — the
-// loser's CAS fails, it re-reads, and only a genuinely smaller value
-// overwrites. (The previous mutex implementation keyed initialization on
-// count==1, which under concurrency could be observed by a racing
-// observer whose duration was not the minimum.)
-type Timer struct {
-	count atomic.Int64
-	total atomic.Int64 // nanoseconds
-	// min stores the minimum plus one, so 0 unambiguously means "no
-	// observation yet" even after a genuine 0ns observation.
-	min atomic.Int64
-	max atomic.Int64 // nanoseconds
-}
-
-// Observe records one duration. Negative durations clamp to zero.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	n := int64(d)
-	if n < 0 {
-		n = 0
-	}
-	t.count.Add(1)
-	t.total.Add(n)
-	for {
-		cur := t.min.Load()
-		if cur != 0 && n+1 >= cur {
-			break
-		}
-		if t.min.CompareAndSwap(cur, n+1) {
-			break
-		}
-	}
-	for {
-		cur := t.max.Load()
-		if n <= cur {
-			break
-		}
-		if t.max.CompareAndSwap(cur, n) {
-			break
-		}
-	}
-}
-
-// Start begins timing and returns the function that stops it. Usable as
-// `defer t.Start()()`; on a nil timer the returned stop is a no-op.
-func (t *Timer) Start() func() {
-	if t == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() { t.Observe(time.Since(t0)) }
-}
-
-// TimerStats is a timer snapshot, in nanoseconds for JSON portability.
-type TimerStats struct {
-	Count   int64 `json:"count"`
-	TotalNS int64 `json:"total_ns"`
-	MeanNS  int64 `json:"mean_ns"`
-	MinNS   int64 `json:"min_ns"`
-	MaxNS   int64 `json:"max_ns"`
-}
-
-// Stats returns a snapshot of the timer. Each field is read atomically;
-// under concurrent Observe calls the fields may reflect slightly
-// different instants (a weakly consistent snapshot), the usual trade for
-// a lock-free hot path.
-func (t *Timer) Stats() TimerStats {
-	if t == nil {
-		return TimerStats{}
-	}
-	s := TimerStats{
-		Count:   t.count.Load(),
-		TotalNS: t.total.Load(),
-		MaxNS:   t.max.Load(),
-	}
-	if m := t.min.Load(); m > 0 {
-		s.MinNS = m - 1
-	}
-	if s.Count > 0 {
-		s.MeanNS = s.TotalNS / s.Count
-	}
-	return s
-}
-
 // Metric is one named entry of a registry snapshot.
 type Metric struct {
 	Name string `json:"name"`
-	Kind string `json:"kind"` // "counter", "gauge", "timer" or "histogram"
+	Kind string `json:"kind"` // "counter", "gauge" or "histogram"
 	// Value carries counter and gauge readings (pointer so a measured
 	// zero survives omitempty).
 	Value     *int64          `json:"value,omitempty"`
-	Timer     *TimerStats     `json:"timer,omitempty"`
 	Histogram *HistogramStats `json:"histogram,omitempty"`
 }
 
@@ -192,7 +97,6 @@ type regEntry struct {
 	name string
 	c    *Counter
 	g    *Gauge
-	t    *Timer
 	h    *Histogram
 }
 
@@ -227,19 +131,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		panic("telemetry: metric " + name + " already registered with a different kind")
 	}
 	return e.g
-}
-
-// Timer returns the timer registered under name, creating it on first
-// use.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	e := r.lookup(name, func() regEntry { return regEntry{name: name, t: &Timer{}} })
-	if e.t == nil {
-		panic("telemetry: metric " + name + " already registered with a different kind")
-	}
-	return e.t
 }
 
 // Histogram returns the histogram registered under name, creating it on
@@ -287,10 +178,6 @@ func (r *Registry) Snapshot() []Metric {
 			m.Kind = "gauge"
 			v := e.g.Value()
 			m.Value = &v
-		case e.t != nil:
-			m.Kind = "timer"
-			s := e.t.Stats()
-			m.Timer = &s
 		case e.h != nil:
 			m.Kind = "histogram"
 			s := e.h.Stats()

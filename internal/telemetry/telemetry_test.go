@@ -24,17 +24,17 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatal("nil gauge has a value")
 	}
-	var tm *Timer
-	tm.Observe(time.Second)
-	tm.Start()()
-	if s := tm.Stats(); s.Count != 0 {
-		t.Fatal("nil timer has observations")
+	var h *Histogram
+	h.Observe(time.Second)
+	h.Start()()
+	if h.Count() != 0 {
+		t.Fatal("nil histogram has observations")
 	}
 	var r *Registry
 	r.Counter("x").Inc()
 	r.Gauge("y").Set(1)
 	r.Gauge("y").Add(1)
-	r.Timer("z").Observe(1)
+	r.Histogram("z").Observe(1)
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry has a snapshot")
 	}
@@ -88,31 +88,11 @@ func TestGaugeAddConcurrent(t *testing.T) {
 	}
 }
 
-func TestTimerStats(t *testing.T) {
-	tm := &Timer{}
-	tm.Observe(2 * time.Millisecond)
-	tm.Observe(4 * time.Millisecond)
-	tm.Observe(6 * time.Millisecond)
-	s := tm.Stats()
-	if s.Count != 3 {
-		t.Fatalf("Count = %d", s.Count)
-	}
-	if s.MinNS != (2 * time.Millisecond).Nanoseconds() {
-		t.Fatalf("MinNS = %d", s.MinNS)
-	}
-	if s.MaxNS != (6 * time.Millisecond).Nanoseconds() {
-		t.Fatalf("MaxNS = %d", s.MaxNS)
-	}
-	if s.MeanNS != (4 * time.Millisecond).Nanoseconds() {
-		t.Fatalf("MeanNS = %d", s.MeanNS)
-	}
-}
-
 func TestRegistrySnapshotOrderAndIdentity(t *testing.T) {
 	r := New()
 	r.Counter("b.jobs").Add(2)
 	r.Gauge("a.workers").Set(8)
-	r.Timer("c.time").Observe(time.Millisecond)
+	r.Histogram("c.time").Observe(time.Millisecond)
 	// Same name returns the same metric, not a fresh one.
 	r.Counter("b.jobs").Add(3)
 
@@ -131,8 +111,8 @@ func TestRegistrySnapshotOrderAndIdentity(t *testing.T) {
 	if *snap[0].Value != 5 {
 		t.Fatalf("counter value = %d, want 5", *snap[0].Value)
 	}
-	if snap[2].Timer == nil || snap[2].Timer.Count != 1 {
-		t.Fatalf("timer snapshot = %+v", snap[2].Timer)
+	if snap[2].Histogram == nil || snap[2].Histogram.Count != 1 {
+		t.Fatalf("histogram snapshot = %+v", snap[2].Histogram)
 	}
 }
 
@@ -228,56 +208,6 @@ func BenchmarkCounterEnabled(b *testing.B) {
 	c := &Counter{}
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-	}
-}
-
-// TestTimerConcurrentFirstObservationMin races many goroutines on a
-// fresh timer — the regression test for min initialization: with the
-// old count==1 check, whichever observer happened to be first set min
-// even when a concurrent observer carried a smaller duration. The CAS
-// initialize-min path must always keep the global minimum. Run under
-// -race this also pins the lock-free Observe path.
-func TestTimerConcurrentFirstObservationMin(t *testing.T) {
-	for round := 0; round < 50; round++ {
-		tm := &Timer{}
-		const workers = 8
-		var start, wg sync.WaitGroup
-		start.Add(1)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				start.Wait() // release all observers at once
-				for i := 0; i < 20; i++ {
-					tm.Observe(time.Duration(1+w*100+i) * time.Microsecond)
-				}
-			}(w)
-		}
-		start.Done()
-		wg.Wait()
-		s := tm.Stats()
-		wantMin := (1 * time.Microsecond).Nanoseconds()
-		wantMax := (time.Duration(1+(workers-1)*100+19) * time.Microsecond).Nanoseconds()
-		if s.Count != workers*20 {
-			t.Fatalf("round %d: Count = %d, want %d", round, s.Count, workers*20)
-		}
-		if s.MinNS != wantMin {
-			t.Fatalf("round %d: MinNS = %d, want %d (first-observation race lost the minimum)",
-				round, s.MinNS, wantMin)
-		}
-		if s.MaxNS != wantMax {
-			t.Fatalf("round %d: MaxNS = %d, want %d", round, s.MaxNS, wantMax)
-		}
-	}
-}
-
-func TestTimerNegativeClampsToZero(t *testing.T) {
-	tm := &Timer{}
-	tm.Observe(-time.Second)
-	tm.Observe(time.Second)
-	s := tm.Stats()
-	if s.MinNS != 0 || s.TotalNS != time.Second.Nanoseconds() {
-		t.Fatalf("Stats = %+v, want min 0 and total 1s", s)
 	}
 }
 
