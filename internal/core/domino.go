@@ -77,10 +77,15 @@ type Prefetcher struct {
 	eit     *EIT
 	sampler *history.Sampler
 	streams *prefetch.StreamSet
+	pool    *prefetch.StreamPool
 	meter   *dram.Meter
 
+	// out is the candidate slice Trigger returns, reused by the next
+	// Trigger (the prefetch.Prefetcher contract).
+	out []prefetch.Candidate
 	// pending is the super-entry fetched by the one-address lookup,
-	// awaiting disambiguation by the next triggering event.
+	// awaiting disambiguation by the next triggering event; empty when
+	// there is none. Its backing array is reused across lookups.
 	pending []Entry
 	// pendingFirst is the line prefetched from the pending super-entry's
 	// most recent entry, so a hit on it can be attributed to the stream
@@ -101,12 +106,15 @@ func New(cfg Config, meter *dram.Meter) *Prefetcher {
 		meter = &dram.Meter{}
 	}
 	t := cfg.Tables
+	ht := history.New(t.HTEntries, t.HTRowEntries, meter)
+	streams := prefetch.NewStreamSet(cfg.ActiveStreams, cfg.StreamEndAfter)
 	return &Prefetcher{
 		cfg:     cfg,
-		ht:      history.New(t.HTEntries, t.HTRowEntries, meter),
+		ht:      ht,
 		eit:     NewEIT(t.EITRows, t.SuperEntriesPerRow, t.EntriesPerSuper),
 		sampler: history.NewSampler(cfg.SampleOneIn),
-		streams: prefetch.NewStreamSet(cfg.ActiveStreams, cfg.StreamEndAfter),
+		streams: streams,
+		pool:    prefetch.NewStreamPool(ht, streams, cfg.MaxRefillRows),
 		meter:   meter,
 	}
 }
@@ -127,20 +135,20 @@ func (p *Prefetcher) Name() string { return "domino" }
 func (p *Prefetcher) EIT() *EIT { return p.eit }
 
 // Trigger implements prefetch.Prefetcher. Replaying has priority over
-// recording (Section III-B).
+// recording (Section III-B). The returned slice is reused by the next
+// Trigger.
 func (p *Prefetcher) Trigger(ev prefetch.Event) []prefetch.Candidate {
-	out := p.replay(ev)
+	p.out = p.out[:0]
+	p.replay(ev)
 	p.record(ev)
-	return out
+	return p.out
 }
 
-func (p *Prefetcher) replay(ev prefetch.Event) []prefetch.Candidate {
-	var out []prefetch.Candidate
-
+func (p *Prefetcher) replay(ev prefetch.Event) {
 	// Advance the active stream responsible for a prefetch hit.
 	if ev.Kind == mem.EventPrefetchHit {
 		if s := p.streams.OnPrefetchHit(ev.Line); s != nil {
-			out = append(out, p.issue(s, 1, 0)...)
+			p.issue(s, 1, 0)
 		}
 	} else {
 		p.streams.OnMiss()
@@ -148,14 +156,14 @@ func (p *Prefetcher) replay(ev prefetch.Event) []prefetch.Candidate {
 
 	// Two-address disambiguation of the pending super-entry: this
 	// triggering event is the second address of the pair.
-	if p.pending != nil {
+	if len(p.pending) > 0 {
 		if e, ok := matchEntry(p.pending, ev.Line); ok {
 			p.nMatched++
-			out = append(out, p.activate(e, ev)...)
+			p.activate(e, ev)
 		} else {
 			p.nUnmatched++
 		}
-		p.pending = nil
+		p.pending = p.pending[:0]
 		p.hasPendingF = false
 	}
 
@@ -164,15 +172,15 @@ func (p *Prefetcher) replay(ev prefetch.Event) []prefetch.Candidate {
 	if ev.Kind == mem.EventMiss {
 		p.nLookups++
 		p.meter.RecordBlock(dram.MetadataRead)
-		if entries, ok := p.eit.Lookup(ev.Line); ok {
+		var ok bool
+		if p.pending, ok = p.eit.Lookup(ev.Line, p.pending); ok {
 			p.nLookupHit++
-			p.pending = entries
-			if !p.alwaysFirstOff && len(entries) > 0 {
+			if !p.alwaysFirstOff {
 				p.nFirst++
-				first := entries[0].Addr
+				first := p.pending[0].Addr
 				p.pendingFirst = first
 				p.hasPendingF = true
-				out = append(out, prefetch.Candidate{
+				p.out = append(p.out, prefetch.Candidate{
 					Line:  first,
 					Tag:   p.Name(),
 					Delay: 1, // issued after a single round trip
@@ -180,7 +188,6 @@ func (p *Prefetcher) replay(ev prefetch.Event) []prefetch.Candidate {
 			}
 		}
 	}
-	return out
 }
 
 // matchEntry picks the entry whose address field matches the triggering
@@ -196,13 +203,11 @@ func matchEntry(entries []Entry, line mem.Line) (Entry, bool) {
 
 // activate turns a matched EIT entry into an active stream: read the HT row
 // at the entry's pointer into PointBuf and issue prefetches from it.
-func (p *Prefetcher) activate(e Entry, ev prefetch.Event) []prefetch.Candidate {
-	queue, next, ok := p.ht.RowAfter(e.Ptr)
+func (p *Prefetcher) activate(e Entry, ev prefetch.Event) {
+	s, ok := p.pool.Open(e.Ptr)
 	if !ok {
-		return nil // stale pointer: HT wrapped past it
+		return // stale pointer: HT wrapped past it
 	}
-	s := &prefetch.Stream{Queue: queue, Refill: p.refill(next)}
-	p.streams.Insert(s)
 	// If the one-address first prefetch is still in flight and this very
 	// event consumed it, the stream inherits nothing; otherwise attribute
 	// it to the new stream so its consumption advances the stream.
@@ -212,33 +217,20 @@ func (p *Prefetcher) activate(e Entry, ev prefetch.Event) []prefetch.Candidate {
 	// The stream body required the EIT round trip (already spent) plus
 	// this HT read; relative to the triggering event the prefetches are
 	// issued after one additional round trip.
-	return p.issue(s, p.cfg.Degree, 1)
+	p.issue(s, p.cfg.Degree, 1)
 }
 
-func (p *Prefetcher) refill(seq uint64) func() []mem.Line {
-	left := p.cfg.MaxRefillRows
-	return func() []mem.Line {
-		if left <= 0 {
-			return nil
-		}
-		left--
-		entries, next := p.ht.NextRow(seq)
-		seq = next
-		return entries
-	}
-}
-
-func (p *Prefetcher) issue(s *prefetch.Stream, n, delay int) []prefetch.Candidate {
-	var out []prefetch.Candidate
-	for len(out) < n {
+// issue pops up to n lines from s into the output candidates, carrying
+// delay off-chip round trips of issue latency.
+func (p *Prefetcher) issue(s *prefetch.Stream, n, delay int) {
+	for ; n > 0; n-- {
 		line, ok := s.Next()
 		if !ok {
-			break
+			return
 		}
 		p.streams.Issued(s, line)
-		out = append(out, prefetch.Candidate{Line: line, Tag: p.Name(), Delay: delay})
+		p.out = append(p.out, prefetch.Candidate{Line: line, Tag: p.Name(), Delay: delay})
 	}
-	return out
 }
 
 func (p *Prefetcher) record(ev prefetch.Event) {

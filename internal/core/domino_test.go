@@ -6,6 +6,7 @@ import (
 	"domino/internal/dram"
 	"domino/internal/mem"
 	"domino/internal/prefetch"
+	"domino/internal/workload"
 )
 
 // testConfig is a small, always-update configuration so unit tests do not
@@ -186,5 +187,41 @@ func TestFootprintMatchesPaper(t *testing.T) {
 	l := DefaultConfig(4).Footprint()
 	if l.EITBytes>>20 != 128 || l.HTBytes>>20 != 85 {
 		t.Fatalf("footprint = %s, want 128 MB EIT + 85 MB HT", l)
+	}
+}
+
+// TestDominoSessionZeroSteadyStateAllocs is the allocation contract of the
+// Domino step: once a Session running Domino has warmed up — its streams
+// opened, its candidate and PointBuf buffers grown, its EIT slab chunks
+// touched — training and replay allocate nothing per access. The accesses
+// are generated up front so the generator's own allocations stay out of
+// the measurement.
+func TestDominoSessionZeroSteadyStateAllocs(t *testing.T) {
+	const warm, runs, perRun = 500_000, 100, 1000
+	g := workload.New(workload.ByName("Web Apache"))
+	accesses := make([]mem.Access, warm+(runs+1)*perRun)
+	for i := range accesses {
+		a, ok := g.Next()
+		if !ok {
+			t.Fatal("generator exhausted")
+		}
+		accesses[i] = a
+	}
+	s := prefetch.NewSession(New(ScaledConfig(4, 64), nil), prefetch.DefaultEvalConfig())
+	for _, a := range accesses[:warm] {
+		s.Access(a)
+	}
+	next := warm
+	allocs := testing.AllocsPerRun(runs, func() {
+		for _, a := range accesses[next : next+perRun] {
+			s.Access(a)
+		}
+		next += perRun
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Domino session allocates %.1f times per %d accesses, want 0", allocs, perRun)
+	}
+	if st := s.Stats(); st.Covered == 0 || st.Issued == 0 {
+		t.Fatalf("session never prefetched (%+v): the measurement exercised no replay", st)
 	}
 }

@@ -61,25 +61,11 @@ type Prefetcher struct {
 	it      *flathash.Map[uint64]
 	sampler *history.Sampler
 	streams *prefetch.StreamSet
+	pool    *prefetch.StreamPool
 	meter   *dram.Meter
-
-	// Stream recycling, as in stms: at most ActiveStreams+1 pooled streams,
-	// each with a long-lived refill closure over its own HT cursor, so the
-	// hot training path opens streams without allocating.
-	states []*pooledStream
-	free   []*pooledStream
 
 	prev    mem.Line
 	hasPrev bool
-}
-
-// pooledStream pairs a reusable Stream with the cursor its refill closure
-// walks: consecutive HT rows starting at seq, bounded by left.
-type pooledStream struct {
-	s      prefetch.Stream
-	refill func() []mem.Line
-	seq    uint64
-	left   int
 }
 
 // New builds a Digram prefetcher. meter may be nil.
@@ -87,12 +73,15 @@ func New(cfg Config, meter *dram.Meter) *Prefetcher {
 	if meter == nil {
 		meter = &dram.Meter{}
 	}
+	ht := history.New(cfg.HTEntries, cfg.HTRowEntries, meter)
+	streams := prefetch.NewStreamSet(cfg.ActiveStreams, cfg.StreamEndAfter)
 	return &Prefetcher{
 		cfg:     cfg,
-		ht:      history.New(cfg.HTEntries, cfg.HTRowEntries, meter),
+		ht:      ht,
 		it:      flathash.New[uint64](0),
 		sampler: history.NewSampler(cfg.SampleOneIn),
-		streams: prefetch.NewStreamSet(cfg.ActiveStreams, cfg.StreamEndAfter),
+		streams: streams,
+		pool:    prefetch.NewStreamPool(ht, streams, cfg.MaxRefillRows),
 		meter:   meter,
 	}
 }
@@ -126,48 +115,12 @@ func (p *Prefetcher) replay(ev prefetch.Event) []prefetch.Candidate {
 	if !ok {
 		return nil
 	}
-	queue, next, ok := p.ht.RowAfter(ptr)
+	s, ok := p.pool.Open(ptr)
 	if !ok {
 		p.it.Delete(key)
 		return nil
 	}
-	s := p.openStream(queue, next)
 	return p.issue(s, p.cfg.Degree, 2)
-}
-
-// openStream takes a stream from the pool (or builds one, with its refill
-// closure, on first use), points it at queue plus the HT rows from seq, and
-// installs it as MRU; the evicted stream returns to the free list.
-func (p *Prefetcher) openStream(queue []mem.Line, seq uint64) *prefetch.Stream {
-	var ps *pooledStream
-	if n := len(p.free); n > 0 {
-		ps = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		ps = &pooledStream{}
-		ps.refill = func() []mem.Line {
-			if ps.left <= 0 {
-				return nil
-			}
-			ps.left--
-			entries, next := p.ht.NextRow(ps.seq)
-			ps.seq = next
-			return entries
-		}
-		p.states = append(p.states, ps)
-	}
-	ps.seq = seq
-	ps.left = p.cfg.MaxRefillRows
-	ps.s.Reset(queue, ps.refill)
-	if evicted := p.streams.Insert(&ps.s); evicted != nil {
-		for _, st := range p.states {
-			if &st.s == evicted {
-				p.free = append(p.free, st)
-				break
-			}
-		}
-	}
-	return &ps.s
 }
 
 func (p *Prefetcher) issue(s *prefetch.Stream, n, delay int) []prefetch.Candidate {

@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"domino/internal/mem"
+	"domino/internal/prefetch"
+	"domino/internal/trace"
+	"domino/internal/workload"
 )
 
 // tinyOptions keep experiment tests fast while still exercising every code
@@ -365,5 +369,65 @@ func TestDegreeSweep(t *testing.T) {
 	// Overpredictions grow with degree.
 	if r.Overpredictions.Value("OLTP", "domino@4") < r.Overpredictions.Value("OLTP", "domino@1") {
 		t.Fatal("overpredictions shrank with degree")
+	}
+}
+
+// twinCheck wraps the vldp+domino stack as the evaluator's prefetcher and
+// feeds every event, routed the way Stack routes it, to standalone twins
+// of both components as well. The twins' candidates are copied out before
+// the next Trigger, so they are what the stack must produce if it honours
+// the Trigger contract (a result is valid only until the next Trigger on
+// the same prefetcher) — in particular, if it never writes into or
+// retains a component's reused result slice.
+type twinCheck struct {
+	t                 *testing.T
+	stack             prefetch.Prefetcher
+	vldp, domino      prefetch.Prefetcher
+	events, triggered int
+}
+
+func (c *twinCheck) Name() string { return c.stack.Name() }
+
+func (c *twinCheck) Trigger(ev prefetch.Event) []prefetch.Candidate {
+	got := c.stack.Trigger(ev)
+	var want []prefetch.Candidate
+	copyTagged := func(p prefetch.Prefetcher) {
+		for _, cand := range p.Trigger(ev) {
+			cand.Tag = p.Name()
+			want = append(want, cand)
+		}
+	}
+	switch {
+	case ev.Kind == mem.EventMiss:
+		copyTagged(c.vldp)
+		copyTagged(c.domino)
+	case ev.Tag == c.vldp.Name():
+		copyTagged(c.vldp)
+	default:
+		copyTagged(c.domino)
+	}
+	if !slices.Equal(got, want) {
+		c.t.Fatalf("event %d %+v: stack candidates %+v, twins %+v", c.events, ev, got, want)
+	}
+	c.events++
+	if len(got) > 0 {
+		c.triggered++
+	}
+	return got
+}
+
+func TestStackMatchesCopiedTwins(t *testing.T) {
+	const scale = 64
+	c := &twinCheck{
+		t:      t,
+		stack:  Build("vldp+domino", 4, nil, scale),
+		vldp:   Build("vldp", 4, nil, scale),
+		domino: Build("domino", 4, nil, scale),
+	}
+	tr := trace.Limit(workload.New(workload.ByName("OLTP")), 200_000)
+	res := prefetch.Run(tr, c, prefetch.DefaultEvalConfig())
+	if c.triggered == 0 || res.Covered == 0 {
+		t.Fatalf("stack never prefetched usefully (%d events, %d with candidates, %d covered)",
+			c.events, c.triggered, res.Covered)
 	}
 }

@@ -12,6 +12,8 @@
 package history
 
 import (
+	"slices"
+
 	"domino/internal/dram"
 	"domino/internal/mem"
 )
@@ -128,57 +130,59 @@ func (t *Table) at(seq uint64) mem.Line {
 // RowAfter fetches, at the cost of one off-chip block read, the retained
 // entries strictly after seq up to the end of seq's row — the "cache block
 // worth of data from the HT" a temporal prefetcher receives per metadata
-// read: the addresses that followed the matched occurrence. It also
-// returns the sequence number just past the row, for chaining into NextRow.
-// An empty result with ok=false means seq is no longer retained (a stale
-// index pointer).
-func (t *Table) RowAfter(seq uint64) (entries []mem.Line, nextSeq uint64, ok bool) {
+// read: the addresses that followed the matched occurrence. It appends
+// them to dst and also returns the sequence number just past the row, for
+// chaining into NextRow. ok=false means seq is no longer retained (a stale
+// index pointer); dst is then returned unchanged.
+func (t *Table) RowAfter(seq uint64, dst []mem.Line) (entries []mem.Line, nextSeq uint64, ok bool) {
 	if !t.Retained(seq) {
-		return nil, 0, false
+		return dst, 0, false
 	}
 	if t.meter != nil {
 		t.meter.RecordBlock(dram.MetadataRead)
 	}
 	rowEnd := (seq/t.rowLen + 1) * t.rowLen
-	return t.copyRange(seq+1, rowEnd), rowEnd, true
+	return t.appendRange(dst, seq+1, rowEnd), rowEnd, true
 }
 
 // NextRow fetches, at the cost of one off-chip block read, the whole row
-// starting at the first row boundary at or after seq. It returns the
-// entries and the sequence number just past them, for chained refills. A
-// nil result means the history ends (or has wrapped past seq).
-func (t *Table) NextRow(seq uint64) (entries []mem.Line, nextSeq uint64) {
+// starting at the first row boundary at or after seq. It appends the
+// entries to dst and returns the sequence number just past them, for
+// chained refills. Nothing is appended when the history ends (or has
+// wrapped past seq).
+func (t *Table) NextRow(seq uint64, dst []mem.Line) (entries []mem.Line, nextSeq uint64) {
 	start := seq
 	if rem := start % t.rowLen; rem != 0 {
 		start += t.rowLen - rem
 	}
 	if start >= t.next || !t.Retained(start) {
-		return nil, start
+		return dst, start
 	}
 	if t.meter != nil {
 		t.meter.RecordBlock(dram.MetadataRead)
 	}
-	end := start + t.rowLen
-	out := t.copyRange(start, end)
-	return out, start + uint64(len(out))
+	n := len(dst)
+	dst = t.appendRange(dst, start, start+t.rowLen)
+	return dst, start + uint64(len(dst)-n)
 }
 
-// copyRange copies retained, written entries in [from, to).
-func (t *Table) copyRange(from, to uint64) []mem.Line {
+// appendRange appends the retained, written entries in [from, to) to dst,
+// growing it at most once.
+func (t *Table) appendRange(dst []mem.Line, from, to uint64) []mem.Line {
 	if to > t.next {
 		to = t.next
 	}
 	if from >= to {
-		return nil
+		return dst
 	}
-	out := make([]mem.Line, 0, to-from)
+	dst = slices.Grow(dst, int(to-from))
 	for s := from; s < to; s++ {
 		if !t.Retained(s) {
 			continue
 		}
-		out = append(out, t.at(s))
+		dst = append(dst, t.at(s))
 	}
-	return out
+	return dst
 }
 
 // Sampler decides which history writes also update the index table — the

@@ -67,7 +67,7 @@ func TestRowAfter(t *testing.T) {
 		h.Append(mem.Line(100 + i))
 	}
 	// seq 3 is in row 0 (seqs 0-11); RowAfter returns seqs 4..11.
-	entries, next, ok := h.RowAfter(3)
+	entries, next, ok := h.RowAfter(3, nil)
 	if !ok {
 		t.Fatal("RowAfter not ok")
 	}
@@ -78,7 +78,7 @@ func TestRowAfter(t *testing.T) {
 		t.Fatalf("next = %d, want 12", next)
 	}
 	// Last retained row is partial: seqs 24..29.
-	entries, _, ok = h.RowAfter(24)
+	entries, _, ok = h.RowAfter(24, nil)
 	if !ok || len(entries) != 5 || entries[0] != 125 {
 		t.Fatalf("partial row entries = %v ok=%v", entries, ok)
 	}
@@ -87,7 +87,7 @@ func TestRowAfter(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		h2.Append(mem.Line(i))
 	}
-	if _, _, ok := h2.RowAfter(2); ok {
+	if _, _, ok := h2.RowAfter(2, nil); ok {
 		t.Fatal("RowAfter on overwritten seq should fail")
 	}
 }
@@ -97,17 +97,17 @@ func TestNextRow(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		h.Append(mem.Line(i))
 	}
-	entries, next := h.NextRow(12)
+	entries, next := h.NextRow(12, nil)
 	if len(entries) != 12 || entries[0] != 12 || next != 24 {
 		t.Fatalf("NextRow(12) = %v next=%d", entries, next)
 	}
 	// Unaligned seq rounds up to the next row boundary.
-	entries, next = h.NextRow(13)
+	entries, next = h.NextRow(13, nil)
 	if len(entries) != 6 || entries[0] != 24 || next != 30 {
 		t.Fatalf("NextRow(13) = %v next=%d", entries, next)
 	}
 	// Past the end.
-	entries, _ = h.NextRow(36)
+	entries, _ = h.NextRow(36, nil)
 	if entries != nil {
 		t.Fatalf("NextRow past end = %v", entries)
 	}
@@ -123,8 +123,8 @@ func TestTrafficAccounting(t *testing.T) {
 	if m.Transfers(dram.MetadataUpdate) != 2 {
 		t.Fatalf("row writes = %d", m.Transfers(dram.MetadataUpdate))
 	}
-	h.RowAfter(0)
-	h.NextRow(12)
+	h.RowAfter(0, nil)
+	h.NextRow(12, nil)
 	if m.Transfers(dram.MetadataRead) != 2 {
 		t.Fatalf("row reads = %d", m.Transfers(dram.MetadataRead))
 	}
@@ -167,5 +167,31 @@ func TestRandomSampler(t *testing.T) {
 	frac := float64(hits) / n
 	if frac < 0.11 || frac > 0.14 {
 		t.Fatalf("random sampler rate = %v, want ~0.125", frac)
+	}
+}
+
+// TestRowReadsAppendToDst: RowAfter and NextRow append to the caller's
+// slice, reusing its backing array when it has room, and leave it
+// unchanged when there is nothing to read.
+func TestRowReadsAppendToDst(t *testing.T) {
+	h := New(24, 12, nil)
+	for i := 0; i < 30; i++ {
+		h.Append(mem.Line(i))
+	}
+	buf := make([]mem.Line, 1, 16)
+	buf[0] = 999
+	got, _, ok := h.RowAfter(20, buf)
+	if !ok || len(got) != 4 || got[0] != 999 || got[1] != 21 || &got[0] != &buf[0] {
+		t.Fatalf("RowAfter(20, buf) = %v, %v", got, ok)
+	}
+	got, next := h.NextRow(13, buf[:0])
+	if len(got) != 6 || got[0] != 24 || next != 30 || &got[0] != &buf[0] {
+		t.Fatalf("NextRow(13, buf) = %v next=%d", got, next)
+	}
+	if got, _, ok := h.RowAfter(2, buf[:1]); ok || len(got) != 1 {
+		t.Fatalf("stale RowAfter = %v, %v; want dst unchanged", got, ok)
+	}
+	if got, _ := h.NextRow(36, buf[:1]); len(got) != 1 {
+		t.Fatalf("NextRow past end = %v; want dst unchanged", got)
 	}
 }

@@ -16,8 +16,14 @@ import (
 type Buffer struct {
 	capacity int
 	entries  map[mem.Line]*bufEntry
-	fifo     []*bufEntry // insertion order; head at index 0
+	fifo     []*bufEntry // insertion order; head at index 0; a window into store
 	gone     int         // entries in fifo already consumed or invalidated
+
+	// store is fifo's fixed backing array; spare holds entries that have
+	// left the fifo, for reuse. Together they keep Insert from allocating
+	// once the buffer has warmed up.
+	store []*bufEntry
+	spare []*bufEntry
 
 	issued  uint64
 	used    uint64
@@ -39,9 +45,14 @@ func NewBuffer(capacity int) *Buffer {
 	if capacity <= 0 {
 		capacity = 1
 	}
+	// compact bounds len(fifo) by 2*capacity; twice that again leaves
+	// room to slide the window at most once every 2*capacity inserts.
+	store := make([]*bufEntry, 4*capacity)
 	return &Buffer{
 		capacity: capacity,
 		entries:  make(map[mem.Line]*bufEntry, capacity),
+		fifo:     store[:0],
+		store:    store,
 	}
 }
 
@@ -66,8 +77,19 @@ func (b *Buffer) Insert(line mem.Line, tag string) bool {
 	for len(b.entries) >= b.capacity {
 		b.evictOldest()
 	}
-	e := &bufEntry{line: line, tag: tag}
+	var e *bufEntry
+	if n := len(b.spare); n > 0 {
+		e = b.spare[n-1]
+		b.spare = b.spare[:n-1]
+		*e = bufEntry{line: line, tag: tag}
+	} else {
+		e = &bufEntry{line: line, tag: tag}
+	}
 	b.entries[line] = e
+	if len(b.fifo) == cap(b.fifo) {
+		// The window reached the end of store: slide it to the front.
+		b.fifo = b.store[:copy(b.store, b.fifo)]
+	}
 	b.fifo = append(b.fifo, e)
 	b.issued++
 	return true
@@ -78,6 +100,7 @@ func (b *Buffer) evictOldest() {
 		e := b.fifo[0]
 		b.fifo[0] = nil
 		b.fifo = b.fifo[1:]
+		b.spare = append(b.spare, e)
 		if e.gone {
 			b.gone--
 			continue
@@ -105,7 +128,9 @@ func (b *Buffer) compact() {
 	}
 	kept := b.fifo[:0]
 	for _, e := range b.fifo {
-		if !e.gone {
+		if e.gone {
+			b.spare = append(b.spare, e)
+		} else {
 			kept = append(kept, e)
 		}
 	}

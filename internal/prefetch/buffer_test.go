@@ -102,3 +102,34 @@ func TestBufferCapacityNeverExceeded(t *testing.T) {
 		t.Fatalf("issued=%d dropped=%d", b.Issued(), b.Dropped())
 	}
 }
+
+// TestBufferZeroSteadyStateAllocs: once warm, the Insert / Consume /
+// capacity-eviction / Invalidate cycle recycles its entries and its fifo
+// storage, so it allocates nothing.
+func TestBufferZeroSteadyStateAllocs(t *testing.T) {
+	b := NewBuffer(32)
+	next := mem.Line(0)
+	cycle := func() {
+		for i := 0; i < 100; i++ {
+			b.Insert(next, "t") // evicts once the buffer is full
+			switch next % 4 {
+			case 1:
+				b.Consume(next) // consumed straight away: a gone marker
+			case 2:
+				b.Consume(next - 20)
+			case 3:
+				b.Invalidate(next - 7)
+			}
+			next++
+		}
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("steady-state buffer cycle allocates %.1f times per 100 inserts, want 0", allocs)
+	}
+	if b.Dropped() == 0 || b.Used() == 0 {
+		t.Fatalf("cycle exercised no eviction (dropped=%d) or no consume (used=%d)", b.Dropped(), b.Used())
+	}
+}

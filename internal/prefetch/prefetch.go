@@ -64,7 +64,9 @@ type Prefetcher interface {
 	// Name identifies the prefetcher in reports ("domino", "stms", ...).
 	Name() string
 	// Trigger delivers one triggering event and returns the prefetches
-	// to issue, in issue order.
+	// to issue, in issue order. The returned slice is valid until the
+	// next Trigger on the same prefetcher, which may reuse its backing
+	// array: callers consume it (or copy it) before triggering again.
 	Trigger(ev Event) []Candidate
 }
 

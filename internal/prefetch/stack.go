@@ -19,6 +19,7 @@ import (
 type Stack struct {
 	primary, secondary Prefetcher
 	name               string
+	out                []Candidate // reused by the next Trigger
 }
 
 // NewStack composes primary and secondary. The component names must
@@ -34,22 +35,28 @@ func NewStack(primary, secondary Prefetcher) *Stack {
 // Name returns "<primary>+<secondary>".
 func (s *Stack) Name() string { return s.name }
 
-// Trigger implements Prefetcher.
+// Trigger implements Prefetcher. Each component's candidates are copied
+// out, re-tagged, before the other component is triggered, so neither
+// component's reused result slice is written to or held past its own
+// next Trigger.
 func (s *Stack) Trigger(ev Event) []Candidate {
+	s.out = s.out[:0]
 	switch {
 	case ev.Kind == mem.EventMiss:
-		out := retag(s.primary.Trigger(ev), s.primary.Name())
-		return append(out, retag(s.secondary.Trigger(ev), s.secondary.Name())...)
+		s.out = appendTagged(s.out, s.primary.Trigger(ev), s.primary.Name())
+		s.out = appendTagged(s.out, s.secondary.Trigger(ev), s.secondary.Name())
 	case ev.Tag == s.primary.Name():
-		return retag(s.primary.Trigger(ev), s.primary.Name())
+		s.out = appendTagged(s.out, s.primary.Trigger(ev), s.primary.Name())
 	default:
-		return retag(s.secondary.Trigger(ev), s.secondary.Name())
+		s.out = appendTagged(s.out, s.secondary.Trigger(ev), s.secondary.Name())
 	}
+	return s.out
 }
 
-func retag(cs []Candidate, tag string) []Candidate {
-	for i := range cs {
-		cs[i].Tag = tag
+func appendTagged(dst, cs []Candidate, tag string) []Candidate {
+	for _, c := range cs {
+		c.Tag = tag
+		dst = append(dst, c)
 	}
-	return cs
+	return dst
 }

@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"domino/internal/flathash"
+	"domino/internal/history"
 	"domino/internal/mem"
 )
 
@@ -17,7 +18,8 @@ type Stream struct {
 	// Refill, if non-nil, fetches the next batch of history when Queue
 	// runs dry (the next row of the HT; the prefetcher's Refill closure
 	// accounts the metadata-read traffic). A nil or empty result ends
-	// the stream.
+	// the stream. The result becomes the new Queue, so Refill may reuse
+	// the backing array of the queue it replaces.
 	Refill func() []mem.Line
 	// Tag is attached to candidates issued for this stream.
 	Tag string
@@ -41,7 +43,7 @@ func (s *Stream) Next() (mem.Line, bool) {
 			s.Refill = nil
 			return 0, false
 		}
-		s.Queue = append(s.Queue, more...)
+		s.Queue = more
 	}
 	l := s.Queue[0]
 	s.Queue = s.Queue[1:]
@@ -224,4 +226,79 @@ func (ss *StreamSet) MRU() *Stream {
 		return nil
 	}
 	return ss.streams[0]
+}
+
+// StreamPool opens the active streams of a history-table prefetcher (STMS,
+// Digram, Domino) and recycles them. Each stream owns a queue buffer (its
+// PointBuf) and an HT cursor whose refill method value is bound once, and
+// the stream a StreamSet evicts to make room returns to the pool, so at
+// most max+1 streams ever exist and opening one allocates nothing once
+// they have.
+type StreamPool struct {
+	ht      *history.Table
+	set     *StreamSet
+	maxRows int
+	all     []*pooledStream
+	free    []*pooledStream
+}
+
+// pooledStream is one recyclable stream and the HT cursor its refills
+// walk: consecutive rows from seq, at most left more of them.
+type pooledStream struct {
+	s      Stream
+	ht     *history.Table
+	buf    []mem.Line
+	refill func() []mem.Line // next, bound once
+	seq    uint64
+	left   int
+}
+
+// next reads the following HT row into the stream's buffer. The stream
+// calls it only once its queue — the previous contents of buf — is empty.
+func (ps *pooledStream) next() []mem.Line {
+	if ps.left <= 0 {
+		return nil
+	}
+	ps.left--
+	ps.buf, ps.seq = ps.ht.NextRow(ps.seq, ps.buf[:0])
+	return ps.buf
+}
+
+// NewStreamPool returns a pool of streams replayed out of ht and installed
+// in set. Each stream may refill from at most maxRefillRows further HT
+// rows after its first.
+func NewStreamPool(ht *history.Table, set *StreamSet, maxRefillRows int) *StreamPool {
+	return &StreamPool{ht: ht, set: set, maxRows: maxRefillRows}
+}
+
+// Open starts a stream at the HT entries after ptr — the rest of ptr's row
+// is its queue, at the cost of one off-chip row read — and installs it in
+// the set as MRU. ok=false means ptr is no longer retained (a stale index
+// pointer): no stream opens and the set is unchanged.
+func (sp *StreamPool) Open(ptr uint64) (s *Stream, ok bool) {
+	var ps *pooledStream
+	if n := len(sp.free); n > 0 {
+		ps = sp.free[n-1]
+	} else {
+		ps = &pooledStream{ht: sp.ht}
+		ps.refill = ps.next
+		sp.all = append(sp.all, ps)
+		sp.free = append(sp.free, ps)
+	}
+	queue, next, ok := sp.ht.RowAfter(ptr, ps.buf[:0])
+	if !ok {
+		return nil, false
+	}
+	sp.free = sp.free[:len(sp.free)-1]
+	ps.buf, ps.seq, ps.left = queue, next, sp.maxRows
+	ps.s.Reset(queue, ps.refill)
+	if evicted := sp.set.Insert(&ps.s); evicted != nil {
+		for _, old := range sp.all {
+			if &old.s == evicted {
+				sp.free = append(sp.free, old)
+				break
+			}
+		}
+	}
+	return &ps.s, true
 }

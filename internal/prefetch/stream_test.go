@@ -1,8 +1,10 @@
 package prefetch
 
 import (
+	"slices"
 	"testing"
 
+	"domino/internal/history"
 	"domino/internal/mem"
 )
 
@@ -197,5 +199,48 @@ func TestNewerStreamWinsOwnership(t *testing.T) {
 	ss.Issued(b, 3)
 	if got := ss.OnPrefetchHit(3); got != b {
 		t.Fatal("newest claim should win")
+	}
+}
+
+func TestStreamPool(t *testing.T) {
+	ht := history.New(16, 4, nil)
+	for i := 0; i < 40; i++ {
+		ht.Append(mem.Line(100 + i))
+	}
+	set := NewStreamSet(2, 4)
+	pool := NewStreamPool(ht, set, 1)
+
+	// seq 25 sits in the row 24..27: the queue is 26, 27, then one refill
+	// row (28..31), then the refill budget is spent.
+	s, ok := pool.Open(25)
+	if !ok || set.MRU() != s {
+		t.Fatalf("Open(25) = %p, %v; MRU %p", s, ok, set.MRU())
+	}
+	var got []mem.Line
+	for {
+		l, ok := s.Next()
+		if !ok {
+			break
+		}
+		got = append(got, l)
+	}
+	if want := []mem.Line{126, 127, 128, 129, 130, 131}; !slices.Equal(got, want) {
+		t.Fatalf("stream replayed %v, want %v", got, want)
+	}
+
+	// A pointer the finite table has wrapped past opens nothing.
+	if s, ok := pool.Open(3); ok || s != nil || set.Len() != 1 {
+		t.Fatalf("stale Open = %p, %v; set holds %d", s, ok, set.Len())
+	}
+
+	// Streams the set evicts are recycled: a 2-stream set never needs
+	// more than 3 pooled streams.
+	for i := 0; i < 20; i++ {
+		if _, ok := pool.Open(uint64(24 + i%12)); !ok {
+			t.Fatalf("Open(%d) failed", 24+i%12)
+		}
+	}
+	if len(pool.all) > 3 || set.Len() != 2 {
+		t.Fatalf("pool built %d streams for a set of %d, want <= 3", len(pool.all), set.Len())
 	}
 }

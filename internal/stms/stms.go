@@ -69,25 +69,10 @@ type Prefetcher struct {
 	it      *flathash.Map[uint64]
 	sampler *history.Sampler
 	streams *prefetch.StreamSet
+	pool    *prefetch.StreamPool
 	meter   *dram.Meter
 
-	// Stream recycling: every stream ever opened lives in states (at most
-	// ActiveStreams+1 of them), each with a long-lived refill closure over
-	// its own cursor. Opening a stream on the hot training path then
-	// allocates nothing — no Stream, no closure, no in-flight slice regrow.
-	states []*pooledStream
-	free   []*pooledStream
-
 	nMiss, nMatch, nStale, nStream, nAdvance uint64
-}
-
-// pooledStream pairs a reusable Stream with the cursor its refill closure
-// walks: consecutive HT rows starting at seq, bounded by left.
-type pooledStream struct {
-	s      prefetch.Stream
-	refill func() []mem.Line
-	seq    uint64
-	left   int
 }
 
 // DebugStats reports internal counters for calibration and tests.
@@ -102,12 +87,15 @@ func New(cfg Config, meter *dram.Meter) *Prefetcher {
 	if meter == nil {
 		meter = &dram.Meter{}
 	}
+	ht := history.New(cfg.HTEntries, cfg.HTRowEntries, meter)
+	streams := prefetch.NewStreamSet(cfg.ActiveStreams, cfg.StreamEndAfter)
 	return &Prefetcher{
 		cfg:     cfg,
-		ht:      history.New(cfg.HTEntries, cfg.HTRowEntries, meter),
+		ht:      ht,
 		it:      flathash.New[uint64](0),
 		sampler: history.NewSampler(cfg.SampleOneIn),
-		streams: prefetch.NewStreamSet(cfg.ActiveStreams, cfg.StreamEndAfter),
+		streams: streams,
+		pool:    prefetch.NewStreamPool(ht, streams, cfg.MaxRefillRows),
 		meter:   meter,
 	}
 }
@@ -142,53 +130,16 @@ func (p *Prefetcher) replay(ev prefetch.Event) []prefetch.Candidate {
 		return nil
 	}
 	p.nMatch++
-	queue, next, ok := p.ht.RowAfter(ptr) // second off-chip round trip
+	s, ok := p.pool.Open(ptr) // second off-chip round trip
 	if !ok {
 		p.nStale++
 		p.it.Delete(uint64(ev.Line)) // stale pointer: the HT wrapped past it
 		return nil
 	}
 	p.nStream++
-	s := p.openStream(queue, next)
 	// The first prefetches of an STMS stream wait for two serial off-chip
 	// accesses: the IT read and the HT read (Figure 6).
 	return p.issue(s, p.cfg.Degree, 2)
-}
-
-// openStream takes a stream from the pool (or builds one, with its refill
-// closure, on first use), points it at queue plus the HT rows from seq, and
-// installs it as MRU. The stream the set evicts to make room goes back on
-// the free list — at most ActiveStreams+1 pooled streams ever exist.
-func (p *Prefetcher) openStream(queue []mem.Line, seq uint64) *prefetch.Stream {
-	var ps *pooledStream
-	if n := len(p.free); n > 0 {
-		ps = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		ps = &pooledStream{}
-		ps.refill = func() []mem.Line {
-			if ps.left <= 0 {
-				return nil
-			}
-			ps.left--
-			entries, next := p.ht.NextRow(ps.seq)
-			ps.seq = next
-			return entries
-		}
-		p.states = append(p.states, ps)
-	}
-	ps.seq = seq
-	ps.left = p.cfg.MaxRefillRows
-	ps.s.Reset(queue, ps.refill)
-	if evicted := p.streams.Insert(&ps.s); evicted != nil {
-		for _, st := range p.states {
-			if &st.s == evicted {
-				p.free = append(p.free, st)
-				break
-			}
-		}
-	}
-	return &ps.s
 }
 
 // issue pops up to n lines from s into candidates carrying delay off-chip

@@ -14,7 +14,9 @@
 #
 # The benchmark set covers the flathash kernel microbenchmarks (Flat vs
 # builtin-map on identical workloads), the per-prefetcher training-loop
-# benchmarks (BenchmarkTrainLookup), the serving hot path (plain, with
+# benchmarks (BenchmarkTrainLookup: Domino itself, whose allocs/op gate
+# pins its zero-allocation step, and the digram, stms, isb and ghb
+# baselines), the serving hot path (plain, with
 # telemetry enabled, and with the full overload-governance stack armed
 # but uncontended — the steady-state price of governance), the telemetry
 # sinks themselves (enabled and nil-disabled paths), and the trace
@@ -35,7 +37,7 @@ out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
 
 go test -run '^$' -bench . -benchmem -benchtime "$benchtime" -count "$count" \
-  ./internal/flathash ./internal/digram ./internal/stms ./internal/isb ./internal/ghb \
+  ./internal/flathash ./internal/core ./internal/digram ./internal/stms ./internal/isb ./internal/ghb \
   ./internal/serve ./internal/telemetry ./internal/trace \
   | tee "$out"
 
